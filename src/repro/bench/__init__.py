@@ -1,14 +1,13 @@
 """Reproducible benchmark baseline for the engine and datapath fast path.
 
-``python -m repro.bench`` runs three benchmark suites and a determinism
-guard, then writes ``BENCH_engine.json``, ``BENCH_datapath.json`` and
-``BENCH_parallel.json``:
+``python -m repro.bench`` runs the benchmark suites below (plus the TCP
+congestion-control bench) and a determinism guard, then writes one
+``BENCH_*.json`` file per suite:
 
 * **Engine** (:mod:`repro.bench.engine_bench`) — a deterministic
   timer-chain workload dispatched through (a) a faithful replica of the
   pre-fast-path engine (dataclass events, per-event heap pops, no label
-  interning; :mod:`repro.bench.baseline`), (b) the current engine with the
-  heap scheduler, and (c) the current engine with the timer wheel.  The
+  interning; :mod:`repro.bench.baseline`) and (b) the current engine.  The
   JSON reports events/sec, ns/event, and the speedup of the current engine
   over the baseline replica *measured in the same process on the same
   machine*, which is what makes the number honest.
@@ -30,9 +29,10 @@ guard, then writes ``BENCH_engine.json``, ``BENCH_datapath.json`` and
   is the tripwire against reintroducing per-host simulation on the
   fleet path.
 * **Guard** (:mod:`repro.bench.guard`) — re-runs the same seeded scenario
-  with the fast path on and off (caches disabled, verbose tracing forced,
-  wheel vs heap scheduler) and asserts the metric snapshots are
-  byte-identical after stripping the documented cache-diagnostic counters.
+  under the pooled/unpooled x caches-on/off cube (4 configs; "unpooled"
+  recycles neither events nor packets) and asserts the metric snapshots
+  are byte-identical after stripping the documented cache-diagnostic
+  counters, and that each run's recycling matches its pooling switch.
   This is the CI tripwire: an optimisation that changes results fails the
   build; one that merely changes speed cannot.
 

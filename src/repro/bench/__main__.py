@@ -65,7 +65,7 @@ def main(argv: list) -> int:
                              "(0 = one per CPU; default 4)")
     parser.add_argument("--min-speedup", type=float, default=2.5,
                         metavar="X",
-                        help="fail unless the best engine speedup vs the "
+                        help="fail unless the engine speedup vs the "
                              "baseline replica is at least X (0 disables; "
                              "default 2.5)")
     args = parser.parse_args(argv)
@@ -73,14 +73,10 @@ def main(argv: list) -> int:
 
     print("== engine benchmark ==")
     engine = run_engine_bench(quick=args.quick)
-    speedups = engine["speedup_vs_baseline"]
+    speedup = engine["speedup_vs_baseline"]
     print(f"baseline replica : {engine['baseline']['ns_per_event']:8.1f} ns/event")
-    print(f"heap (pooled)    : {engine['heap']['ns_per_event']:8.1f} ns/event "
-          f"({speedups['heap']:.2f}x)")
-    print(f"heap (unpooled)  : {engine['heap_unpooled']['ns_per_event']:8.1f} ns/event "
-          f"({speedups['heap_unpooled']:.2f}x)")
-    print(f"timer wheel      : {engine['wheel']['ns_per_event']:8.1f} ns/event "
-          f"({speedups['wheel']:.2f}x)")
+    print(f"engine           : {engine['engine']['ns_per_event']:8.1f} ns/event "
+          f"({speedup:.2f}x)")
 
     print("== datapath benchmarks ==")
     datapath = run_datapath_bench(quick=args.quick)
@@ -101,7 +97,11 @@ def main(argv: list) -> int:
     guard = run_determinism_guard()
     for run in guard["runs"]:
         status = "ok" if run["matches_reference"] else "MISMATCH"
-        print(f"{run['config']:<20} {run['events_run']:>7} events  {status}")
+        if not run["switch_complete"]:
+            status += " (recycling contradicts the pooling switch)"
+        print(f"{run['config']:<16} {run['events_run']:>7} events  "
+              f"{run['event_pool_reuses']:>6} event / "
+              f"{run['arena_reuses']:>6} packet reuses  {status}")
     datapath["determinism_guard"] = guard
 
     print("== tcp congestion control ==")
@@ -154,15 +154,16 @@ def main(argv: list) -> int:
     _write(args.out / "BENCH_fleet.json", fleet)
 
     failed = False
-    if args.min_speedup > 0 and speedups["best"] < args.min_speedup:
-        print(f"engine speedup FAILED: best {speedups['best']:.2f}x is below "
+    if args.min_speedup > 0 and speedup < args.min_speedup:
+        print(f"engine speedup FAILED: {speedup:.2f}x is below "
               f"the {args.min_speedup:.2f}x floor", file=sys.stderr)
         failed = True
     else:
-        print(f"engine speedup: best {speedups['best']:.2f}x vs baseline "
+        print(f"engine speedup: {speedup:.2f}x vs baseline "
               f"replica (floor {args.min_speedup:.2f}x)")
     if not guard["passed"]:
-        print("determinism guard FAILED: fast path changed simulation results",
+        print("determinism guard FAILED: fast path changed simulation "
+              "results, or the pooling switch was only half applied",
               file=sys.stderr)
         failed = True
     else:

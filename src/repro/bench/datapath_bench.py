@@ -222,24 +222,23 @@ def _trace_bench(n: int) -> Dict[str, object]:
 
 # ------------------------------------------------- scenario regeneration
 
-def run_scenario(seed: int = 0, scheduler: str = "heap",
-                 policy_cache: int = 128, route_cache: int = 256,
-                 pooling: bool = True, duration_ns: int = s(6)) -> Simulator:
+def run_scenario(seed: int = 0, policy_cache: int = 128,
+                 route_cache: int = 256,
+                 duration_ns: int = s(6)) -> Simulator:
     """The standard benchmark/guard scenario, returned for inspection.
 
     Figure-5 testbed, a 20 ms UDP echo stream from the mobile host to the
     department correspondent, and a mid-run handoff to the department net
     (so policy/route cache invalidation runs under load).  Deterministic
-    for a given (seed, duration); the fast-path knobs must not change any
-    metric other than the documented cache diagnostics.
+    for a given (seed, duration); the cache sizes and the pooling switch
+    (:func:`repro.sim.arena.set_arena_enabled`) must not change any metric
+    other than the documented cache diagnostics.
     """
     config = DEFAULT_CONFIG.with_overrides(
-        engine_scheduler=scheduler,
         policy_cache_size=policy_cache,
         route_cache_size=route_cache,
-        engine_pooling=pooling,
     )
-    sim = Simulator(seed=seed, scheduler=scheduler, pooling=pooling)
+    sim = Simulator(seed=seed)
     testbed = build_testbed(sim, config, with_remote_correspondent=False,
                             with_dhcp=False)
     UdpEchoResponder(testbed.correspondent)
@@ -263,7 +262,6 @@ def _scenario_bench(quick: bool) -> Dict[str, object]:
         "wall_ns": wall_ns,
         "events_run": profile["events_run"],
         "events_per_sec": profile["events_run"] * 1e9 / wall_ns,
-        "scheduler": profile["scheduler"],
     }
 
 

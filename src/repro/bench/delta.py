@@ -96,7 +96,7 @@ def build_delta(old_dir: Path, new_dir: Path) -> Tuple[Dict[str, object], List[s
 
 #: Headline ratios summarized on stdout (path, label, higher-is-better).
 _HEADLINES = (
-    ("BENCH_engine.json", "speedup_vs_baseline.best", "engine best speedup"),
+    ("BENCH_engine.json", "speedup_vs_baseline", "engine speedup"),
     ("BENCH_datapath.json", "packet_construction.pooled_speedup",
      "pooled packet build"),
     ("BENCH_datapath.json", "scenario_regeneration.events_per_sec",

@@ -1,4 +1,4 @@
-"""Engine microbenchmark: baseline replica vs heap vs timer wheel.
+"""Engine microbenchmark: baseline replica vs the current engine.
 
 The workload is a fixed, fully deterministic mesh of timer chains chosen to
 look like the simulator's real life: mostly short relative timers (link
@@ -73,7 +73,8 @@ def _run_workload(sim, n_events: int) -> Dict[str, object]:
 
 
 def run_engine_bench(quick: bool = False) -> Dict[str, object]:
-    """Run the workload on all three engines; returns the BENCH_engine doc.
+    """Run the workload on the baseline replica and the current engine;
+    returns the BENCH_engine doc.
 
     The baseline replica runs in the same process moments before the
     current engine, so the reported ``speedup_vs_baseline`` compares like
@@ -82,27 +83,18 @@ def run_engine_bench(quick: bool = False) -> Dict[str, object]:
     n_events = 40_000 if quick else 200_000
 
     # Warm-up: populate type caches, counter dicts and event pools outside
-    # the timed region, identically for every contender.
+    # the timed region, identically for both contenders.
     _run_workload(BaselineSimulator(), 2_000)
-    _run_workload(Simulator(scheduler="heap"), 2_000)
-    _run_workload(Simulator(scheduler="heap", pooling=False), 2_000)
-    _run_workload(Simulator(scheduler="wheel"), 2_000)
+    _run_workload(Simulator(), 2_000)
 
     baseline = _run_workload(BaselineSimulator(), n_events)
-    heap = _run_workload(Simulator(scheduler="heap"), n_events)
-    heap_unpooled = _run_workload(
-        Simulator(scheduler="heap", pooling=False), n_events)
-    wheel = _run_workload(Simulator(scheduler="wheel"), n_events)
+    engine = _run_workload(Simulator(), n_events)
+    if engine["events_run"] != baseline["events_run"]:
+        raise AssertionError(
+            "engine benchmark dispatched different event counts: "
+            f"baseline={baseline['events_run']} "
+            f"engine={engine['events_run']}")
 
-    for name, contender in (("heap", heap), ("heap_unpooled", heap_unpooled),
-                            ("wheel", wheel)):
-        if contender["events_run"] != baseline["events_run"]:
-            raise AssertionError(
-                "engine benchmark dispatched different event counts: "
-                f"baseline={baseline['events_run']} "
-                f"{name}={contender['events_run']}")
-
-    best = min(heap["ns_per_event"], wheel["ns_per_event"])
     return {
         "bench": "engine",
         "workload": {
@@ -112,14 +104,7 @@ def run_engine_bench(quick: bool = False) -> Dict[str, object]:
             "quick": quick,
         },
         "baseline": baseline,
-        "heap": heap,
-        "heap_unpooled": heap_unpooled,
-        "wheel": wheel,
-        "speedup_vs_baseline": {
-            "heap": baseline["ns_per_event"] / heap["ns_per_event"],
-            "heap_unpooled":
-                baseline["ns_per_event"] / heap_unpooled["ns_per_event"],
-            "wheel": baseline["ns_per_event"] / wheel["ns_per_event"],
-            "best": baseline["ns_per_event"] / best,
-        },
+        "engine": engine,
+        "speedup_vs_baseline":
+            baseline["ns_per_event"] / engine["ns_per_event"],
     }

@@ -2,10 +2,15 @@
 
 An optimisation that changes *results* is a bug wearing a speedup's
 clothes.  This guard re-runs one seeded scenario under every fast-path
-configuration — event/packet pooling on and off, caches on and off, heap
-and timer-wheel scheduler — and asserts the metric snapshots serialize
-byte-identically once the documented cache-diagnostic counters are
-stripped.
+configuration — pooling on and off, caches on and off — and asserts the
+metric snapshots serialize byte-identically once the documented
+cache-diagnostic counters are stripped.
+
+"Unpooled" is the process-wide reference switch
+(:func:`repro.sim.arena.set_arena_enabled`), which covers events and
+packets alike.  The guard also checks that the switch is complete: an
+unpooled run must recycle no event and no packet, and a pooled run must
+recycle both — otherwise the pooling axis compares nothing.
 
 The stripped keys are exactly the ``policy/lookup_cache`` counters: they
 exist *because* the cache does, so they legitimately differ when the cache
@@ -19,21 +24,18 @@ import json
 from typing import Dict, List
 
 from repro.bench.datapath_bench import run_scenario
+from repro.sim.arena import arena_enabled, arena_stats, set_arena_enabled
 
 #: Snapshot-key prefix of the cache diagnostics the guard ignores.
 CACHE_METRIC_PREFIX = "policy/lookup_cache"
 
-#: (name, scheduler, policy_cache_size, route_cache_size, pooling) per
-#: configuration: the full pooled/unpooled x heap/wheel x caches-on/off cube.
+#: (name, policy_cache_size, route_cache_size, pooling) per configuration:
+#: the pooled/unpooled x caches-on/off cube.
 GUARD_CONFIGS = [
-    ("pooled-caches-heap", "heap", 128, 256, True),
-    ("pooled-caches-wheel", "wheel", 128, 256, True),
-    ("pooled-nocache-heap", "heap", 0, 0, True),
-    ("pooled-nocache-wheel", "wheel", 0, 0, True),
-    ("unpooled-caches-heap", "heap", 128, 256, False),
-    ("unpooled-caches-wheel", "wheel", 128, 256, False),
-    ("unpooled-nocache-heap", "heap", 0, 0, False),
-    ("unpooled-nocache-wheel", "wheel", 0, 0, False),
+    ("pooled-caches", 128, 256, True),
+    ("pooled-nocache", 0, 0, True),
+    ("unpooled-caches", 128, 256, False),
+    ("unpooled-nocache", 0, 0, False),
 ]
 
 
@@ -48,34 +50,51 @@ def canonical_json(snapshot: Dict[str, object]) -> str:
     return json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
 
 
+def _arena_reuses() -> int:
+    return sum(entry["reuses"] for entry in arena_stats().values())
+
+
 def run_determinism_guard(seed: int = 0) -> Dict[str, object]:
     """Run the scenario under every configuration; returns the verdict doc.
 
     ``passed`` is True iff every configuration's stripped snapshot is
-    byte-identical to the reference (fast path fully on, heap scheduler).
+    byte-identical to the reference (fast path fully on) and every run's
+    recycling agrees with its pooling switch.
     """
     runs: List[Dict[str, object]] = []
     reference_json = None
-    for name, scheduler, policy_cache, route_cache, pooling in GUARD_CONFIGS:
-        sim = run_scenario(seed=seed, scheduler=scheduler,
-                           policy_cache=policy_cache,
-                           route_cache=route_cache,
-                           pooling=pooling)
+    was_enabled = arena_enabled()
+    for name, policy_cache, route_cache, pooling in GUARD_CONFIGS:
+        set_arena_enabled(pooling)
+        try:
+            arena_before = _arena_reuses()
+            sim = run_scenario(seed=seed, policy_cache=policy_cache,
+                               route_cache=route_cache)
+            arena_reuses = _arena_reuses() - arena_before
+        finally:
+            set_arena_enabled(was_enabled)
         snapshot = strip_cache_metrics(sim.metrics.snapshot())
         blob = canonical_json(snapshot)
         if reference_json is None:
             reference_json = blob
+        # profile() materialises the lazy pool counter, so read it only
+        # after the snapshot has been taken.
+        event_reuses = sim.profile()["event_pool"]["reuses"]
+        recycled = (event_reuses > 0, arena_reuses > 0)
         runs.append({
             "config": name,
-            "scheduler": scheduler,
             "policy_cache_size": policy_cache,
             "route_cache_size": route_cache,
             "pooling": pooling,
             "snapshot_bytes": len(blob),
             "matches_reference": blob == reference_json,
             "events_run": sim.events_run,
+            "event_pool_reuses": event_reuses,
+            "arena_reuses": arena_reuses,
+            "switch_complete": recycled == (pooling, pooling),
         })
-    passed = all(run["matches_reference"] for run in runs)
+    passed = all(run["matches_reference"] and run["switch_complete"]
+                 for run in runs)
     return {
         "guard": "same-seed-snapshot-identity",
         "seed": seed,

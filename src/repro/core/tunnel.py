@@ -24,7 +24,6 @@ the VIF.
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from repro.config import Config, DEFAULT_CONFIG
@@ -52,15 +51,8 @@ class TunnelError(RuntimeError):
 class VirtualInterface(NetworkInterface):
     """The paper's ``vif``: an interface that encapsulates instead of sends."""
 
-    def __init__(self, sim: Simulator, name: str, *_shim: Config,
+    def __init__(self, sim: Simulator, name: str, *,
                  config: Optional[Config] = None) -> None:
-        if _shim:
-            warnings.warn(
-                "passing config positionally to VirtualInterface is "
-                "deprecated; use VirtualInterface(sim, name, config=...)",
-                DeprecationWarning, stacklevel=2)
-            if config is None:
-                config = _shim[0]
         if config is None:
             config = DEFAULT_CONFIG
         super().__init__(sim, name, config.virtual_device, config)

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -297,24 +296,10 @@ class TCPConnection:
 
     def __init__(self, service: "TCPService", local_addr: IPAddress,
                  local_port: int, remote_addr: IPAddress, remote_port: int,
-                 *shim_args,
+                 *,
                  congestion_control: Optional[str] = None,
                  initial_cwnd: Optional[int] = None,
                  initial_ssthresh: Optional[int] = None) -> None:
-        if shim_args:
-            if len(shim_args) > 2:
-                raise TypeError(
-                    f"TCPConnection takes at most 2 positional tuning "
-                    f"arguments (cwnd, ssthresh), got {len(shim_args)}")
-            warnings.warn(
-                "passing cwnd/ssthresh tuning positionally to TCPConnection "
-                "is deprecated; use keyword-only initial_cwnd= and "
-                "initial_ssthresh=", DeprecationWarning, stacklevel=2)
-            shim = dict(zip(("initial_cwnd", "initial_ssthresh"), shim_args))
-            if initial_cwnd is None:
-                initial_cwnd = shim.get("initial_cwnd")
-            if initial_ssthresh is None:
-                initial_ssthresh = shim.get("initial_ssthresh")
         self._service = service
         self.sim = service.sim
         self.local_addr = local_addr

@@ -25,6 +25,11 @@ Classes opt in with the :func:`poolable` decorator and provide their own
 generic reset loop).  Arenas are process-global and deliberately tiny
 state: toggling them (``set_arena_enabled``) only changes *allocator*
 behaviour, never simulation results.
+
+``set_arena_enabled(False)`` is also the engine's pooling-off reference:
+a :class:`~repro.sim.engine.Simulator` built while the arenas are off gets
+an event free list of capacity zero, so "unpooled" covers events and
+packets alike.
 """
 
 from __future__ import annotations
@@ -90,8 +95,11 @@ def release(obj: Any, held: int = 1) -> bool:
 
 
 def set_arena_enabled(on: bool) -> None:
-    """Master switch (debugging aid).  Disabling drains every free list so
-    subsequent acquires allocate fresh objects."""
+    """Process-wide recycling switch (the pooling-off reference).
+
+    Disabling drains every packet free list so subsequent acquires
+    allocate fresh objects, and simulators built afterwards recycle no
+    events.  Simulators that already exist keep their event free list."""
     global _enabled
     _enabled = bool(on)
     if not _enabled:

@@ -1,16 +1,16 @@
-"""Reports must be byte-identical with ``engine_pooling`` on and off.
+"""Reports must be byte-identical with pooling on and off.
 
 The extension experiments (x1-x6) cover every subsystem the fast path
 touches — UDP probes, registration storms, sharded fleets, fault
 injection, TCP congestion control over handoffs — so running each with
-the event pool enabled and disabled (at several seeds, shrunk
+recycling enabled and disabled (the ``set_arena_enabled`` reference
+switch, which covers events and packets; several seeds, shrunk
 parameterizations) is the end-to-end form of the bench guard's snapshot
 identity check.
 """
 
 import pytest
 
-import repro.sim.engine as engine
 from repro.experiments import (
     run_autoswitch_experiment,
     run_chaos_experiment,
@@ -19,6 +19,7 @@ from repro.experiments import (
     run_smart_correspondent_experiment,
     run_tcp_cc_experiment,
 )
+from repro.sim.arena import arena_stats, set_arena_enabled
 
 EXPERIMENTS = [
     ("x1", lambda seed: run_smart_correspondent_experiment(
@@ -40,10 +41,13 @@ EXPERIMENTS = [
 @pytest.mark.parametrize("name,runner", EXPERIMENTS,
                          ids=[name for name, _ in EXPERIMENTS])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_report_identical_with_pooling_on_and_off(name, runner, seed,
-                                                  monkeypatch):
-    monkeypatch.setattr(engine, "DEFAULT_POOLING", True)
+def test_report_identical_with_pooling_on_and_off(name, runner, seed):
     pooled = runner(seed).format_report()
-    monkeypatch.setattr(engine, "DEFAULT_POOLING", False)
-    unpooled = runner(seed).format_report()
+    set_arena_enabled(False)
+    try:
+        arena_before = arena_stats()
+        unpooled = runner(seed).format_report()
+        assert arena_stats() == arena_before  # nothing was recycled
+    finally:
+        set_arena_enabled(True)
     assert pooled == unpooled

@@ -1,8 +1,9 @@
 """Property tests for the zero-allocation fast path.
 
 Recycling an Event or packet must be invisible: any schedule of posts,
-timers and cancellations dispatches identically with pooling on and off,
-and a pooled ``acquire`` is indistinguishable from a fresh construction.
+timers and cancellations dispatches identically with pooling on and off
+(the ``set_arena_enabled`` reference switch), and a pooled ``acquire`` is
+indistinguishable from a fresh construction.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from repro.net.packet import (
     IPPacket,
     UDPDatagram,
     release,
+    set_arena_enabled,
 )
 from repro.sim.engine import Simulator
 
@@ -26,7 +28,11 @@ operations = st.lists(
 
 def _drive(pooling: bool, ops) -> list:
     """Run one op schedule; nested posts force event reuse mid-run."""
-    sim = Simulator(seed=0, pooling=pooling)
+    set_arena_enabled(pooling)
+    try:
+        sim = Simulator(seed=0)
+    finally:
+        set_arena_enabled(True)
     log = []
 
     def make(index: int, depth: int):

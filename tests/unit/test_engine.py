@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import random
+
 import pytest
 
 from repro.sim import Simulator, ms
@@ -119,6 +121,35 @@ def test_max_events_guard_trips_on_runaway():
     sim.call_later(1, loop)
     with pytest.raises(SimulationError):
         sim.run(max_events=100)
+    # The guard trips before popping the 101st event: it stays queued and
+    # the clock stays at the last event that actually ran.
+    assert sim.events_run == 100
+    assert sim.now == 100
+    assert sim.pending() == 1
+
+
+def test_max_events_guard_keeps_the_next_event_queued():
+    sim = Simulator()
+    ran = []
+    for index, when in enumerate((10, 20, 30)):
+        sim.call_at(when, lambda index=index: ran.append(index))
+    with pytest.raises(SimulationError):
+        sim.run(max_events=1)
+    assert ran == [0]
+    assert sim.now == 10
+    assert sim.pending() == 2
+    sim.run()
+    assert ran == [0, 1, 2]
+    assert sim.now == 30
+
+
+def test_max_events_ignores_cancelled_events_past_the_budget():
+    sim = Simulator()
+    sim.call_at(10, lambda: None)
+    sim.call_at(20, lambda: None).cancel()
+    sim.run(max_events=1)  # the cancelled event is purged, not counted
+    assert sim.events_run == 1
+    assert sim.now == 10
 
 
 def test_pending_counts_live_events():
@@ -185,3 +216,93 @@ def test_max_events_exact_budget_is_allowed():
         sim.call_at(ms(index), lambda: None)
     sim.run(max_events=5)  # exactly at the cap: fine
     assert sim.events_run == 5
+
+
+# ------------------------------------------------------------ queue contract
+
+def test_mixed_times_run_by_time_then_insertion_order():
+    sim = Simulator()
+    order = []
+    for index, when in enumerate((500, 100, 300, 100, 200)):
+        sim.post_at(when, lambda index=index: order.append((sim.now, index)))
+    sim.run()
+    assert order == [(100, 1), (100, 3), (200, 4), (300, 2), (500, 0)]
+
+
+def test_run_on_empty_queue_returns_immediately():
+    sim = Simulator()
+    sim.run()
+    assert sim.now == 0
+    assert sim.events_run == 0
+    assert sim.pending() == 0
+
+
+def test_events_past_until_stay_queued():
+    sim = Simulator()
+    sim.call_at(10, lambda: None)
+    sim.call_at(20, lambda: None)
+    sim.run(until=10)
+    assert sim.events_run == 1
+    assert sim.pending() == 1
+    sim.run(until=10)  # nothing new is due
+    assert sim.events_run == 1
+
+
+def test_cancelled_event_sharing_a_timestamp_with_a_live_one():
+    sim = Simulator()
+    ran = []
+    sim.call_at(10, lambda: ran.append("cancelled")).cancel()
+    sim.call_at(10, lambda: ran.append("live"))
+    sim.post_at(10, lambda: ran.append("posted"))
+    assert sim.pending() == 2
+    sim.run()
+    assert ran == ["live", "posted"]
+    assert sim.events_run == 2
+    assert sim.pending() == 0
+
+
+def test_push_at_the_timestamp_just_popped():
+    sim = Simulator()
+    ran = []
+
+    def first():
+        ran.append(("first", sim.now))
+        # Same timestamp as the running event: runs in this same pass,
+        # after everything already queued for t=100.
+        sim.post_at(sim.now, lambda: ran.append(("nested", sim.now)))
+
+    sim.call_at(100, first)
+    sim.call_at(100, lambda: ran.append(("second", sim.now)))
+    sim.run(until=100)
+    assert ran == [("first", 100), ("second", 100), ("nested", 100)]
+    # After the run stops at t=100, scheduling at t=100 is still allowed
+    # and dispatches on the next run.
+    sim.call_at(100, lambda: ran.append(("late", sim.now)))
+    sim.run()
+    assert ran[-1] == ("late", 100)
+
+
+def test_randomized_schedule_matches_sorted_reference():
+    rng = random.Random(2026)
+    for trial in range(10):
+        sim = Simulator()
+        log = []
+        expected = []
+        when = 0
+        for seq in range(300):
+            roll = rng.random()
+            if roll < 0.2:
+                pass  # tie with the previous event
+            elif roll < 0.9:
+                when += rng.randrange(1, 200_000)
+            else:
+                when += rng.randrange(1, 60) * 100_000_000
+            at = rng.choice((when, rng.randrange(0, when + 1)))
+            cancel = rng.random() < 0.1
+            if cancel:
+                sim.call_at(at, lambda: log.append("cancelled")).cancel()
+            else:
+                sim.post_at(at, lambda at=at, seq=seq: log.append((at, seq)))
+                expected.append((at, seq))
+        sim.run()
+        assert log == sorted(expected), f"trial {trial} diverged"

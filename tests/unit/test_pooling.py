@@ -78,11 +78,18 @@ def test_cancelled_events_are_not_pooled():
 
 
 def test_pooling_off_disables_the_event_pool():
-    sim = Simulator(pooling=False)
+    set_arena_enabled(False)
+    sim = Simulator()
+    set_arena_enabled(True)  # the capacity is fixed when the sim is built
+    sim.post_later(10, lambda: None)
+    sim.run()
     sim.post_later(10, lambda: None)
     sim.run()
     assert sim._event_pool == []
-    assert sim.profile()["pooling"] is False
+    profile = sim.profile()
+    assert profile["pooling"] is False
+    assert profile["event_pool"]["reuses"] == 0
+    assert Simulator().profile()["pooling"] is True
 
 
 def test_pool_reuses_surface_in_profile():
