@@ -88,8 +88,9 @@ def main(argv: list) -> int:
     print(f"policy lookup    : {policy['cached_ns_per_lookup']:8.1f} ns cached "
           f"({policy['speedup']:.2f}x, hit rate {policy['cache_hit_rate']:.3f})")
     routing = datapath["routing_lookup"]
-    print(f"route lookup     : {routing['cached_ns_per_lookup']:8.1f} ns cached "
-          f"({routing['speedup']:.2f}x, hit rate {routing['cache_hit_rate']:.3f})")
+    print(f"route lookup     : {routing['ns_per_lookup_8_routes']:8.1f} ns at 8 routes, "
+          f"{routing['ns_per_lookup_300_routes']:.1f} at 300, "
+          f"{routing['ns_per_lookup_after_mutation']:.1f} after a mutation")
     scenario = datapath["scenario_regeneration"]
     print(f"scenario regen   : {scenario['events_per_sec']:,.0f} events/sec")
 

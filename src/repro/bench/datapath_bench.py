@@ -1,11 +1,12 @@
-"""Datapath microbenchmarks: packets, lookup caches, trace gating, scenario.
+"""Datapath microbenchmarks: packets, lookups, trace gating, scenario.
 
 Four measurements, each deterministic in *what* it does (wall time is the
 only non-reproducible output):
 
 * packet construction — slotted classes vs the old frozen dataclasses;
 * Mobile Policy Table lookups — result cache on vs off, with hit rates;
-* routing-table LPM lookups — result cache on vs off, with hit rates;
+* routing-table LPM lookups — the prefix index at 8 and 300 host routes,
+  and right after a table mutation;
 * trace emission — an enabled category vs a gated-off one;
 
 plus one macro measurement: regenerating a full testbed scenario (build,
@@ -147,8 +148,8 @@ class _BenchInterface:
         self.name = name
 
 
-def _routing_table(cache_size: int) -> RoutingTable:
-    table = RoutingTable(cache_size=cache_size)
+def _routing_table(host_routes: int) -> RoutingTable:
+    table = RoutingTable()
     eth = _BenchInterface("bench-eth0")
     radio = _BenchInterface("bench-strip0")
     table.add(RouteEntry(destination=Subnet(IPAddress.parse("36.8.0.0"), 24),
@@ -157,33 +158,61 @@ def _routing_table(cache_size: int) -> RoutingTable:
                          interface=eth))
     table.add(RouteEntry(destination=Subnet(IPAddress.parse("36.134.0.0"), 24),
                          interface=radio))
-    for host in range(8):
-        table.add_host_route(IPAddress.parse(f"36.8.0.{100 + host}"), eth)
+    first_host = IPAddress.parse("36.8.0.100").value
+    for host in range(host_routes):
+        table.add_host_route(IPAddress(first_host + host), eth)
     table.add_default(eth, gateway=IPAddress.parse("36.8.0.1"))
     return table
 
 
+#: Host-route counts the lookup is timed at: a mobile host's handful and a
+#: hub router's one-route-per-attached-host.
+ROUTE_COUNTS = (8, 300)
+
+
 def _routing_bench(n: int) -> Dict[str, object]:
-    destinations = [IPAddress.parse(f"36.8.0.{20 + i}")
-                    for i in range(POLICY_DESTINATIONS)]
+    # A quarter of the destinations hit a /32 host route, the rest fall
+    # through to the /24: the same mix at every table size.
+    destinations = ([IPAddress.parse(f"36.8.0.{100 + i}") for i in range(8)]
+                    + [IPAddress.parse(f"36.8.0.{20 + i}") for i in range(24)])
+    cycle = len(destinations)
+    clock = _wallclock.perf_counter_ns
 
     def run(table: RoutingTable) -> None:
         for i in range(n):
-            table.lookup(destinations[i % POLICY_DESTINATIONS])
+            table.lookup(destinations[i % cycle])
 
-    cached, uncached = _routing_table(256), _routing_table(0)
-    run(_routing_table(256))                   # warm-up
-    cached_ns = _time_ns(run, cached)
-    uncached_ns = _time_ns(run, uncached)
-    info = cached.cache_info()
-    return {
-        "n_lookups": n,
-        "distinct_destinations": POLICY_DESTINATIONS,
-        "cached_ns_per_lookup": cached_ns / n,
-        "uncached_ns_per_lookup": uncached_ns / n,
-        "speedup": uncached_ns / cached_ns,
-        "cache_hit_rate": info["hits"] / (info["hits"] + info["misses"]),
-    }
+    def after_mutation(table: RoutingTable, entry: RouteEntry) -> int:
+        # Only the lookup is timed: nothing is memoized, so a lookup right
+        # after a route add/remove should cost what a steady-state one does.
+        total = 0
+        for i in range(n):
+            table.add(entry)
+            table.remove(entry)
+            start = clock()
+            table.lookup(destinations[i % cycle])
+            total += clock() - start
+        return total
+
+    def clock_overhead() -> int:
+        total = 0
+        for _ in range(n):
+            start = clock()
+            total += clock() - start
+        return total
+
+    doc: Dict[str, object] = {"n_lookups": n, "distinct_destinations": cycle}
+    for routes in ROUTE_COUNTS:
+        table = _routing_table(routes)
+        run(table)                             # warm-up
+        doc[f"ns_per_lookup_{routes}_routes"] = _time_ns(run, table) / n
+    table = _routing_table(ROUTE_COUNTS[-1])
+    churn = RouteEntry(destination=Subnet(IPAddress.parse("36.8.0.20"), 32),
+                       interface=_BenchInterface("bench-churn0"))
+    after_mutation(table, churn)               # warm-up
+    lookup_ns = after_mutation(table, churn) - clock_overhead()
+    doc["ns_per_lookup_after_mutation"] = max(lookup_ns, 0) / n
+    return doc
 
 
 # ----------------------------------------------------------- trace gating
@@ -223,21 +252,17 @@ def _trace_bench(n: int) -> Dict[str, object]:
 # ------------------------------------------------- scenario regeneration
 
 def run_scenario(seed: int = 0, policy_cache: int = 128,
-                 route_cache: int = 256,
                  duration_ns: int = s(6)) -> Simulator:
     """The standard benchmark/guard scenario, returned for inspection.
 
     Figure-5 testbed, a 20 ms UDP echo stream from the mobile host to the
     department correspondent, and a mid-run handoff to the department net
-    (so policy/route cache invalidation runs under load).  Deterministic
-    for a given (seed, duration); the cache sizes and the pooling switch
-    (:func:`repro.sim.arena.set_arena_enabled`) must not change any metric
-    other than the documented cache diagnostics.
+    (so policy cache invalidation and route changes run under load).
+    Deterministic for a given (seed, duration); the policy cache size and
+    the pooling switch (:func:`repro.sim.arena.set_arena_enabled`) must not
+    change any metric other than the documented cache diagnostics.
     """
-    config = DEFAULT_CONFIG.with_overrides(
-        policy_cache_size=policy_cache,
-        route_cache_size=route_cache,
-    )
+    config = DEFAULT_CONFIG.with_overrides(policy_cache_size=policy_cache)
     sim = Simulator(seed=seed)
     testbed = build_testbed(sim, config, with_remote_correspondent=False,
                             with_dhcp=False)

@@ -2,9 +2,11 @@
 
 An optimisation that changes *results* is a bug wearing a speedup's
 clothes.  This guard re-runs one seeded scenario under every fast-path
-configuration — pooling on and off, caches on and off — and asserts the
-metric snapshots serialize byte-identically once the documented
-cache-diagnostic counters are stripped.
+configuration — pooling on and off, the Mobile Policy Table's result
+cache on and off — and asserts the metric snapshots serialize
+byte-identically once the documented cache-diagnostic counters are
+stripped.  Routing tables have no cache to toggle: they answer every
+lookup from an exact prefix index.
 
 "Unpooled" is the process-wide reference switch
 (:func:`repro.sim.arena.set_arena_enabled`), which covers events and
@@ -29,13 +31,13 @@ from repro.sim.arena import arena_enabled, arena_stats, set_arena_enabled
 #: Snapshot-key prefix of the cache diagnostics the guard ignores.
 CACHE_METRIC_PREFIX = "policy/lookup_cache"
 
-#: (name, policy_cache_size, route_cache_size, pooling) per configuration:
-#: the pooled/unpooled x caches-on/off cube.
+#: (name, policy_cache_size, pooling) per configuration: the
+#: pooled/unpooled x policy-cache-on/off cube.
 GUARD_CONFIGS = [
-    ("pooled-caches", 128, 256, True),
-    ("pooled-nocache", 0, 0, True),
-    ("unpooled-caches", 128, 256, False),
-    ("unpooled-nocache", 0, 0, False),
+    ("pooled-caches", 128, True),
+    ("pooled-nocache", 0, True),
+    ("unpooled-caches", 128, False),
+    ("unpooled-nocache", 0, False),
 ]
 
 
@@ -64,12 +66,11 @@ def run_determinism_guard(seed: int = 0) -> Dict[str, object]:
     runs: List[Dict[str, object]] = []
     reference_json = None
     was_enabled = arena_enabled()
-    for name, policy_cache, route_cache, pooling in GUARD_CONFIGS:
+    for name, policy_cache, pooling in GUARD_CONFIGS:
         set_arena_enabled(pooling)
         try:
             arena_before = _arena_reuses()
-            sim = run_scenario(seed=seed, policy_cache=policy_cache,
-                               route_cache=route_cache)
+            sim = run_scenario(seed=seed, policy_cache=policy_cache)
             arena_reuses = _arena_reuses() - arena_before
         finally:
             set_arena_enabled(was_enabled)
@@ -84,7 +85,6 @@ def run_determinism_guard(seed: int = 0) -> Dict[str, object]:
         runs.append({
             "config": name,
             "policy_cache_size": policy_cache,
-            "route_cache_size": route_cache,
             "pooling": pooling,
             "snapshot_bytes": len(blob),
             "matches_reference": blob == reference_json,

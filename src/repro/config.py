@@ -353,11 +353,9 @@ class Config:
 
     # ------------------------------------------------------------ fast path
     #: Entries in the Mobile Policy Table's per-destination lookup cache
-    #: (0 disables caching).
+    #: (0 disables caching).  Routing tables need no such knob: they answer
+    #: every lookup from an exact prefix index.
     policy_cache_size: int = 128
-    #: Entries in each routing table's per-destination LPM cache
-    #: (0 disables caching).
-    route_cache_size: int = 256
 
     def with_overrides(self, **kwargs: object) -> "Config":
         """Return a copy with some fields replaced (experiments use this)."""

@@ -106,7 +106,7 @@ class MobilePolicyTable:
         # address comparison beats the OrderedDict probe.  A hot hit records
         # exactly the counters an LRU hit would; every invalidation clears
         # it together with the LRU.
-        self._hot_dst: Optional[IPAddress] = None
+        self._hot_destination: Optional[IPAddress] = None
         self._hot_cached: Optional[Tuple[Optional[PolicyEntry], RoutingMode]] = None
         # A table built without a registry (bare tables in tests) records
         # into a private one, keeping the lookup path branch-free.
@@ -149,7 +149,7 @@ class MobilePolicyTable:
     def invalidate_cache(self) -> None:
         """Drop every memoized lookup (any mutation calls this)."""
         self._cache.clear()
-        self._hot_dst = None
+        self._hot_destination = None
         self._hot_cached = None
 
     def set_policy(self, destination: Union[Subnet, IPAddress],
@@ -190,7 +190,7 @@ class MobilePolicyTable:
         so the metrics snapshot is identical with the cache on or off
         (only the diagnostic ``policy/lookup_cache`` counters differ).
         """
-        if dst == self._hot_dst:
+        if dst == self._hot_destination:
             entry, mode = self._hot_cached
             self._cache_hit_counter.value += 1
             if entry is not None:
@@ -202,7 +202,7 @@ class MobilePolicyTable:
         cached = cache.get(dst)
         if cached is not None:
             cache.move_to_end(dst)
-            self._hot_dst = dst
+            self._hot_destination = dst
             self._hot_cached = cached
             self._cache_hit_counter.value += 1
             entry, mode = cached
@@ -223,7 +223,7 @@ class MobilePolicyTable:
             cache[dst] = (entry, mode)
             if len(cache) > self._cache_size:
                 cache.popitem(last=False)
-            self._hot_dst = dst
+            self._hot_destination = dst
             self._hot_cached = (entry, mode)
         return mode
 

@@ -160,10 +160,6 @@ def plane_chaos_config(config: Config = DEFAULT_CONFIG) -> Config:
                       mean_registration_interval=int(
                           LIFETIME * RENEWAL_FRACTION),
                       convergence_deadline=s(8)),
-        # The router carries one /30 per host: the LPM cache must cover
-        # every care-of destination or reply forwarding degrades to a
-        # linear scan per packet.
-        route_cache_size=4096,
     )
 
 

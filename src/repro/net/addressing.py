@@ -64,7 +64,8 @@ class IPAddress:
         return (self.value >> 28) == 0xE
 
     def __str__(self) -> str:
-        return ".".join(str((self.value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+        v = self.value
+        return f"{v >> 24}.{(v >> 16) & 255}.{(v >> 8) & 255}.{v & 255}"
 
     def __repr__(self) -> str:
         return f"IPAddress({str(self)!r})"

@@ -50,7 +50,7 @@ class Host:
         iface.host = self
         if iface not in self.interfaces:
             self.interfaces.append(iface)
-            self.ip.invalidate_local_cache()
+            self.ip.mark_addresses_changed()
         return iface
 
     def interface(self, name: str) -> NetworkInterface:

@@ -56,7 +56,8 @@ class NetworkInterface:
         self.device = device
         self.config = config
         self.host: Optional["Host"] = None
-        self._state = InterfaceState.DOWN
+        #: Device operational state; routing reads liveness per lookup.
+        self.state = InterfaceState.DOWN
         self._addresses: List[IPAddress] = []
         self._subnet: Optional[Subnet] = None
         self._rng = sim.rng(f"device:{name}")
@@ -107,12 +108,12 @@ class NetworkInterface:
     def subnet(self, value: Optional[Subnet]) -> None:
         self._subnet = value
         if self.host is not None:
-            self.host.ip.invalidate_local_cache()
+            self.host.ip.mark_addresses_changed()
 
     def add_address(self, addr: IPAddress, make_primary: bool = False) -> None:
         """Install *addr* (an alias) on this interface."""
         if self.host is not None:
-            self.host.ip.invalidate_local_cache()
+            self.host.ip.mark_addresses_changed()
         if addr in self._addresses:
             if make_primary:
                 self._addresses.remove(addr)
@@ -131,7 +132,7 @@ class NetworkInterface:
         if addr not in self._addresses:
             return
         if self.host is not None:
-            self.host.ip.invalidate_local_cache()
+            self.host.ip.mark_addresses_changed()
         self._addresses.remove(addr)
         self._on_address_removed(addr)
         self.sim.trace.emit("device", "address_removed", interface=self.name,
@@ -146,25 +147,9 @@ class NetworkInterface:
     # ------------------------------------------------------- state machine
 
     @property
-    def state(self) -> InterfaceState:
-        """Device operational state."""
-        return self._state
-
-    @state.setter
-    def state(self, value: InterfaceState) -> None:
-        self._state = value
-        # Route lookups are memoized per destination and filtered by
-        # interface liveness, so any state change on an attached interface
-        # invalidates its host's cache.  Transitions are rare (handoffs);
-        # lookups are per-packet.
-        host = self.host
-        if host is not None:
-            host.ip.routes.invalidate_cache()
-
-    @property
     def is_up(self) -> bool:
         """True when the device is operational."""
-        return self._state == InterfaceState.UP
+        return self.state == InterfaceState.UP
 
     def _jittered(self, base: int) -> int:
         return jittered(self._rng, base, self.config.jitter)

@@ -15,7 +15,7 @@ Linux 1.2.13 (Section 3.3):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Protocol
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Protocol, Set
 
 from repro.config import Config, HostTimings
 from repro.net.addressing import IPAddress, UNSPECIFIED
@@ -58,16 +58,17 @@ class IPStack:
         self.host = host
         self.config = config
         self.timings = timings
-        self.routes = RoutingTable(cache_size=config.route_cache_size)
+        self.routes = RoutingTable()
         self.forwarding = False
         self.route_hook: Optional[RouteHook] = None
         self.forward_filter: Optional[ForwardFilter] = None
-        #: Memoized :meth:`is_local` verdicts (addr value -> bool).  A
-        #: hub router owns one interface per attached link, and scanning
-        #: them all per received packet is O(ports) — quadratic across a
-        #: fleet.  Interfaces invalidate the cache on any address or
-        #: subnet change, so mobility (care-of churn) stays correct.
-        self._local_cache: Dict[int, bool] = {}
+        #: Address values :meth:`is_local` accepts: every interface
+        #: address plus each interface subnet's broadcast.  A hub router
+        #: owns one interface per attached link, so scanning them per
+        #: packet would be O(ports).  Interfaces mark the set stale on any
+        #: address or subnet change and it is rebuilt on the next call.
+        self._owned: Set[int] = set()
+        self._owned_stale = True
         self._handlers: Dict[int, ProtocolHandler] = {}
         self._rng = sim.rng(f"ip:{host.name}")
         self._forward_fifo = FifoDelay(sim)
@@ -104,28 +105,20 @@ class IPStack:
             owned.update(iface.addresses)
         return owned
 
-    def invalidate_local_cache(self) -> None:
-        """Drop memoized :meth:`is_local` verdicts (addresses changed)."""
-        self._local_cache.clear()
+    def mark_addresses_changed(self) -> None:
+        """Note that an interface address, subnet or attachment changed."""
+        self._owned_stale = True
 
     def is_local(self, addr: IPAddress) -> bool:
         """True if *addr* is one of ours (incl. loopback/broadcast)."""
-        verdict = self._local_cache.get(addr.value)
-        if verdict is None:
-            verdict = self._is_local_scan(addr)
-            if len(self._local_cache) < 65536:
-                self._local_cache[addr.value] = verdict
-        return verdict
-
-    def _is_local_scan(self, addr: IPAddress) -> bool:
-        if addr.is_loopback or addr.is_limited_broadcast:
-            return True
-        for iface in self.host.interfaces:
-            if iface.owns_address(addr):
-                return True
-            if iface.subnet is not None and addr == iface.subnet.broadcast:
-                return True
-        return False
+        if self._owned_stale:
+            owned = {owned_addr.value for owned_addr in self.local_addresses()}
+            owned.update(iface.subnet.broadcast.value for iface in self.host.interfaces
+                         if iface.subnet is not None)
+            self._owned = owned
+            self._owned_stale = False
+        value = addr.value
+        return value in self._owned or value == 0xFFFFFFFF or value >> 24 == 127
 
     # ---------------------------------------------------------------- routing
 

@@ -11,9 +11,8 @@ policy in a separate table instead.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.net.addressing import IPAddress, Subnet
 
@@ -61,37 +60,35 @@ class RouteResult:
         return self.gateway if self.gateway is not None else dst
 
 
-#: Cache slot marker distinguishing "no cached result" from a cached miss.
-_UNCACHED = object()
+def _drop_identical(rows: List[RouteEntry], entry: RouteEntry) -> bool:
+    """Delete *entry* itself, not a dataclass-equal copy, from *rows*."""
+    for position, candidate in enumerate(rows):
+        if candidate is entry:
+            del rows[position]
+            return True
+    return False
 
 
 class RoutingTable:
     """Longest-prefix-match IPv4 routing table with metrics.
 
-    Lookups memoize per destination in a small LRU (``cache_size`` entries;
-    0 disables).  The cache is cleared on every table mutation, and every
-    :class:`~repro.net.interface.NetworkInterface` state change clears its
-    host's table via the ``state`` property, so staleness can't outlive the
-    event that caused it; as belt and braces a cached entry whose interface
-    has gone down is re-scanned anyway.  Hit/miss totals are plain ints
-    (:meth:`cache_info`) rather than metrics: they are wall-clock-style
-    diagnostics, and keeping them out of the registry keeps same-seed
-    snapshots byte-identical whether or not the cache is enabled.
+    ``_entries`` keeps every row in insertion order for iteration.  Beside
+    it sits an exact prefix index, ``prefix_len -> {network value ->
+    [entries in insertion order]}``, plus the populated prefix lengths as
+    ``(mask, bucket)`` probes, longest first.  :meth:`add` and
+    :meth:`remove` update the index in place; :meth:`lookup` masks the
+    destination once per populated prefix length and takes the first
+    bucket holding an eligible entry, so its cost depends on how many
+    distinct prefix lengths the table holds, not on how many routes.
+    Interface liveness is read at lookup time, so nothing is memoized and
+    nothing needs invalidating when an interface goes up or down.
     """
 
-    def __init__(self, cache_size: int = 256) -> None:
+    def __init__(self) -> None:
         self._entries: List[RouteEntry] = []
-        self._cache_size = cache_size
-        self._cache: "OrderedDict[IPAddress, Optional[RouteEntry]]" = OrderedDict()
-        # One-entry inline cache in front of the LRU: forwarding loops hit
-        # the same destination back-to-back, and a single comparison beats
-        # an OrderedDict probe + move_to_end.  Same validation rules as the
-        # LRU (is_up recheck, cleared on every mutation); a hot hit counts
-        # as an ordinary cache hit.
-        self._hot_dst: Optional[IPAddress] = None
-        self._hot_entry: Optional[RouteEntry] = None
-        self._cache_hits = 0
-        self._cache_misses = 0
+        self._buckets: Dict[int, Dict[int, List[RouteEntry]]] = {}
+        self._probes: List[Tuple[int, Dict[int, List[RouteEntry]]]] = []
+        self._lookups = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -99,31 +96,33 @@ class RoutingTable:
     def __iter__(self):
         return iter(self._entries)
 
-    def invalidate_cache(self) -> None:
-        """Drop every memoized lookup result."""
-        self._cache.clear()
-        self._hot_dst = None
-        self._hot_entry = None
-
     def cache_info(self) -> Dict[str, int]:
-        """Lookup-cache diagnostics (perf observability, not simulation
-        state)."""
-        return {
-            "hits": self._cache_hits,
-            "misses": self._cache_misses,
-            "size": len(self._cache),
-            "max_size": self._cache_size,
-        }
+        """Lookup diagnostics (perf observability, not simulation state).
+
+        ``hits`` counts lookups, every one answered by the prefix index;
+        ``misses`` is always 0 because no lookup falls back to a scan, so
+        a hit ratio computed from the two reads 1.0 by construction.
+        """
+        return {"hits": self._lookups, "misses": 0}
 
     def add(self, entry: RouteEntry) -> None:
-        """Append an entry (order does not affect lookup)."""
+        """Append an entry (order only breaks metric ties)."""
         self._entries.append(entry)
-        self.invalidate_cache()
+        self._index(entry)
 
     def remove(self, entry: RouteEntry) -> None:
-        """Remove exactly this entry object."""
-        self._entries.remove(entry)
-        self.invalidate_cache()
+        """Remove exactly this entry object (by identity, not equality)."""
+        if not _drop_identical(self._entries, entry):
+            raise ValueError(f"{entry!r} is not in the routing table")
+        destination = entry.destination
+        bucket = self._buckets[destination.prefix_len]
+        rows = bucket[destination.network.value]
+        _drop_identical(rows, entry)
+        if not rows:
+            del bucket[destination.network.value]
+            if not bucket:
+                del self._buckets[destination.prefix_len]
+                self._reprobe()
 
     def remove_matching(self, destination: Optional[Subnet] = None,
                         interface: Optional["NetworkInterface"] = None) -> int:
@@ -139,8 +138,25 @@ class RoutingTable:
                 continue
             removed += 1
         self._entries = keep
-        self.invalidate_cache()
+        self._buckets = {}
+        self._probes = []
+        for entry in keep:
+            self._index(entry)
         return removed
+
+    def _index(self, entry: RouteEntry) -> None:
+        destination = entry.destination
+        bucket = self._buckets.get(destination.prefix_len)
+        if bucket is None:
+            bucket = self._buckets[destination.prefix_len] = {}
+            self._reprobe()
+        bucket.setdefault(destination.network.value, []).append(entry)
+
+    def _reprobe(self) -> None:
+        self._probes = [
+            ((0xFFFFFFFF << (32 - prefix_len)) & 0xFFFFFFFF, self._buckets[prefix_len])
+            for prefix_len in sorted(self._buckets, reverse=True)
+        ]
 
     def add_host_route(self, host_addr: IPAddress, interface: "NetworkInterface",
                        gateway: Optional[IPAddress] = None, metric: int = 0,
@@ -166,54 +182,24 @@ class RoutingTable:
     def lookup(self, dst: IPAddress, require_up: bool = True) -> Optional[RouteEntry]:
         """Best (longest-prefix, then lowest-metric, then first) match.
 
-        Only the common ``require_up=True`` form is cached; the raw form
-        bypasses the cache entirely.
+        An entry is eligible when its interface is up, or always with
+        ``require_up=False``; a prefix whose entries are all ineligible
+        falls through to the next shorter one.
         """
-        if not require_up:
-            return self._scan(dst, False)
-        if dst == self._hot_dst:
-            hot = self._hot_entry
-            if hot is None or hot.interface.is_up:
-                self._cache_hits += 1
-                return hot
-            self._hot_dst = None  # stale: fall through to the LRU recheck
-            self._hot_entry = None
-        cache = self._cache
-        cached = cache.get(dst, _UNCACHED)
-        if cached is not _UNCACHED:
-            if cached is None or cached.interface.is_up:
-                self._cache_hits += 1
-                cache.move_to_end(dst)
-                self._hot_dst = dst
-                self._hot_entry = cached
-                return cached
-            del cache[dst]  # interface went down under the cached route
-        self._cache_misses += 1
-        best = self._scan(dst, True)
-        if self._cache_size > 0:
-            cache[dst] = best
-            if len(cache) > self._cache_size:
-                cache.popitem(last=False)
-            self._hot_dst = dst
-            self._hot_entry = best
-        return best
-
-    def _scan(self, dst: IPAddress, require_up: bool) -> Optional[RouteEntry]:
-        best: Optional[RouteEntry] = None
-        for entry in self._entries:
-            if not entry.matches(dst):
+        self._lookups += 1
+        value = dst.value
+        for mask, bucket in self._probes:
+            rows = bucket.get(value & mask)
+            if rows is None:
                 continue
-            if require_up and not entry.interface.is_up:
-                continue
-            if best is None:
-                best = entry
-                continue
-            if entry.destination.prefix_len > best.destination.prefix_len:
-                best = entry
-            elif (entry.destination.prefix_len == best.destination.prefix_len
-                  and entry.metric < best.metric):
-                best = entry
-        return best
+            best: Optional[RouteEntry] = None
+            for entry in rows:
+                if ((best is None or entry.metric < best.metric)
+                        and (not require_up or entry.interface.is_up)):
+                    best = entry
+            if best is not None:
+                return best
+        return None
 
     def entries_for(self, interface: "NetworkInterface") -> List[RouteEntry]:
         """Every entry using *interface*."""

@@ -1041,12 +1041,16 @@ class TCPConnection:
     # ----------------------------------------------------------- data intake
 
     def _trim_send_buffer(self) -> None:
-        base = self.iss + 1
-        self._send_buffer = [
-            item for item in self._send_buffer
-            if base + item.offset + (1 if item.fin else item.data.size_bytes)
-            > self.snd_una
-        ]
+        # Items are only ever appended, in increasing offset order, so the
+        # fully acknowledged ones always form a prefix of the buffer.
+        acked_through = self.snd_una - self.iss - 1
+        done = 0
+        for item in self._send_buffer:
+            if item.offset + (1 if item.fin else item.data.size_bytes) > acked_through:
+                break
+            done += 1
+        if done:
+            del self._send_buffer[:done]
 
     def _on_all_acked(self) -> None:
         if self.state == TCPState.FIN_WAIT_1 and self._fin_queued:

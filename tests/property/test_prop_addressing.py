@@ -1,6 +1,6 @@
 """Property tests for addressing: parsing, subnets, masks."""
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.net.addressing import IPAddress, MACAddress, Subnet
 
@@ -11,6 +11,16 @@ prefix_lengths = st.integers(min_value=0, max_value=32)
 @given(addresses)
 def test_parse_str_roundtrip(addr):
     assert IPAddress.parse(str(addr)) == addr
+
+
+@given(st.integers(min_value=0, max_value=0xFFFFFFFF))
+@example(0)
+@example(0xFFFFFFFF)
+@example(0x7F000001)
+def test_str_is_dotted_quad_of_the_value(value):
+    text = str(IPAddress(value))
+    assert text == ".".join(str(octet) for octet in value.to_bytes(4, "big"))
+    assert IPAddress.parse(text).value == value
 
 
 @given(st.integers(min_value=0, max_value=0xFFFFFFFFFFFF).map(MACAddress))

@@ -141,7 +141,7 @@ def _home_pieces(sim):
 
 
 def test_virtual_interface_keyword_config_lands():
-    config = DEFAULT_CONFIG.with_overrides(route_cache_size=7)
+    config = DEFAULT_CONFIG.with_overrides(tcp_recv_buffer=8192)
     vif = VirtualInterface(Simulator(), "vif0", config=config)
     assert vif.config is config
 

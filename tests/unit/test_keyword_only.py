@@ -38,7 +38,7 @@ class TestMobilePolicyTable:
 
 class TestVirtualInterface:
     def test_positional_config_is_rejected(self, sim):
-        config = DEFAULT_CONFIG.with_overrides(route_cache_size=7)
+        config = DEFAULT_CONFIG.with_overrides(tcp_recv_buffer=8192)
         with pytest.raises(TypeError):
             VirtualInterface(sim, "vif0", config)
 
