@@ -161,9 +161,9 @@ class HomeAgentService:
                  + jittered(self._rng, timings.ha_processing_cost, self.config.jitter))
         self.sim.trace.emit("registration", "ha_received", host=self.host.name,
                             ident=request.identification, source=str(src))
-        self._processing_fifo.schedule(delay,
-                                       lambda: self._process(request, src),
-                                       label="ha-process")
+        self._processing_fifo.post(delay,
+                                   lambda: self._process(request, src),
+                                   label="ha-process")
 
     def _process(self, request: RegistrationRequest, src: IPAddress) -> None:
         code = self._validate(request)
@@ -211,7 +211,7 @@ class HomeAgentService:
                                 ident=request.identification, code=code)
             self._socket.sendto(reply.wrap(), destination, REGISTRATION_PORT)
 
-        self.sim.call_later(send_cost, transmit_reply, label="ha-reply-tx")
+        self.sim.post_later(send_cost, transmit_reply, label="ha-reply-tx")
 
     def _validate(self, request: RegistrationRequest) -> int:
         if request.home_address not in self._served:

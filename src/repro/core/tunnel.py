@@ -94,12 +94,14 @@ class VirtualInterface(NetworkInterface):
         self._encap_counter.value += 1
         self._overhead_counter.value += outer.size_bytes - packet.size_bytes
         self.tx_packets += 1
-        self.sim.trace.emit("tunnel", "encapsulated", interface=self.name,
-                            outer=outer.describe())
+        trace = self.sim.trace
+        if trace.wants("tunnel"):
+            trace.emit("tunnel", "encapsulated", interface=self.name,
+                       outer=outer.describe())
         cost = jittered(self._rng, self.host.timings.tunnel_cost,
                         self.config.jitter)
-        self._fifo.schedule(cost, lambda: self.host.ip.send(outer),
-                            label=f"vif-encap:{self.name}")
+        self._fifo.post(cost, lambda: self.host.ip.send(outer),
+                        label=f"vif-encap:{self.name}")
 
 
 class IPIPModule:
@@ -122,8 +124,10 @@ class IPIPModule:
 
     def _receive(self, outer: IPPacket, iface: NetworkInterface) -> None:
         inner = outer.inner
-        self.sim.trace.emit("tunnel", "decapsulated", host=self.host.name,
-                            inner=inner.describe())
+        trace = self.sim.trace
+        if trace.wants("tunnel"):
+            trace.emit("tunnel", "decapsulated", host=self.host.name,
+                       inner=inner.describe())
         self.packets_decapsulated += 1
         self._decap_counter.value += 1
         cost = jittered(self.sim.rng(f"ipip:{self.host.name}"),

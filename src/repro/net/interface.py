@@ -19,15 +19,19 @@ import enum
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.config import Config, DeviceTimings
-from repro.net.addressing import IPAddress, MACAddress, Subnet
+from repro.net.addressing import BROADCAST_MAC, IPAddress, MACAddress, Subnet
 from repro.net.arp import ARPMessage, ARPService
+from repro.net.ethernet import ETHERTYPE_ARP, ETHERTYPE_IPV4, EthernetFrame
 from repro.net.packet import IPPacket
 from repro.sim.engine import Simulator, Time
 from repro.sim.randomness import jittered
+from repro.sim.units import transmission_delay
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.host import Host
     from repro.net.link import EthernetSegment, PointToPointLink, RadioChannel
+
+_BROADCAST_MAC_VALUE = BROADCAST_MAC.value
 
 
 class InterfaceState(enum.Enum):
@@ -324,9 +328,6 @@ class EthernetInterface(NetworkInterface):
     def transmit_ip_frame(self, packet: IPPacket, mac: Optional[MACAddress] = None,
                           broadcast: bool = False) -> None:
         """Frame *packet* and put it on the segment (post-ARP path)."""
-        from repro.net.addressing import BROADCAST_MAC
-        from repro.net.ethernet import ETHERTYPE_IPV4, EthernetFrame
-
         if self.segment is None or self.state != InterfaceState.UP:
             self._count_drop_down()
             return
@@ -338,8 +339,6 @@ class EthernetInterface(NetworkInterface):
 
     def transmit_arp(self, message: ARPMessage, dst: MACAddress) -> None:
         """Frame and transmit one ARP message."""
-        from repro.net.ethernet import ETHERTYPE_ARP, EthernetFrame
-
         if self.segment is None or self.state not in (InterfaceState.UP, InterfaceState.STARTING):
             return
         frame = EthernetFrame(src=self.mac, dst=dst, ethertype=ETHERTYPE_ARP,
@@ -347,15 +346,20 @@ class EthernetInterface(NetworkInterface):
         self.segment.transmit(frame, self)
 
     def deliver_frame(self, frame: object) -> None:
-        """Receive one frame from the segment."""
-        from repro.net.ethernet import ETHERTYPE_ARP, ETHERTYPE_IPV4, EthernetFrame
+        """Receive one frame from the segment.
 
+        The MAC filter runs first, as on real hardware: a frame for another
+        station is discarded silently whatever the device state, so only
+        frames addressed to this NIC (or broadcast) count as drops while it
+        is down.
+        """
         assert isinstance(frame, EthernetFrame)
+        dst = frame.dst.value
+        if dst != self.mac.value and dst != _BROADCAST_MAC_VALUE:
+            return  # not for us; NIC filter discards silently
         if self.state != InterfaceState.UP:
             self._count_drop_down()
             return
-        if frame.dst != self.mac and not frame.dst.is_broadcast:
-            return  # not for us; NIC filter discards silently
         if frame.ethertype == ETHERTYPE_ARP:
             assert isinstance(frame.payload, ARPMessage)
             self.arp.handle(frame.payload)
@@ -390,8 +394,6 @@ class RadioInterface(NetworkInterface):
 
     def _serial_finish_time(self, size_bytes: int, direction: str) -> int:
         """When this packet clears the serial line (FIFO per direction)."""
-        from repro.sim.units import transmission_delay
-
         serial = self.config.serial
         start = max(self.sim.now, self._serial_busy_until[direction])
         finish = start + transmission_delay(size_bytes, serial.bandwidth_bps)

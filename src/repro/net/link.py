@@ -104,7 +104,16 @@ class Link:
 
 
 class EthernetSegment(Link):
-    """A shared Ethernet: frames reach every other attached interface."""
+    """A shared Ethernet: frames reach every other attached interface.
+
+    Each frame costs one engine event (label ``eth:<segment>``) however
+    many ports hear it: the event's callback hands the frame to every
+    other port in attach order, and each NIC filters by destination MAC
+    itself.  That is exactly the schedule one event per port would give
+    — those events would hold consecutive sequence numbers at one
+    timestamp, so nothing could run between them, and anything a receiver
+    schedules for the same instant runs after the last port either way.
+    """
 
     def __init__(self, sim: Simulator, name: str, timings: LinkTimings) -> None:
         super().__init__(sim, name, timings)
@@ -131,14 +140,17 @@ class EthernetSegment(Link):
         if self._drops():
             return
         deliver_at = self._delivery_time(frame.size_bytes)
-        for port in self._ports:
-            if port is sender:
-                continue
-            self.sim.post_at(
-                deliver_at,
-                lambda port=port: port.deliver_frame(frame),
-                label=f"eth:{self.name}",
-            )
+        # Snapshot the listeners now: a port attached or detached while the
+        # frame is in flight neither gains nor loses it.
+        ports = [port for port in self._ports if port is not sender]
+        if not ports:
+            return
+
+        def fan_out() -> None:
+            for port in ports:
+                port.deliver_frame(frame)
+
+        self.sim.post_at(deliver_at, fan_out, label=f"eth:{self.name}")
 
 
 class PointToPointLink(Link):
@@ -185,7 +197,9 @@ class RadioChannel(Link):
     The channel maintains the static IP -> radio mapping the STRIP driver
     keeps (Starmode has no ARP).  Interfaces (re)publish their address with
     :meth:`publish`; unicast packets for an unpublished address vanish into
-    the air, as they would in reality.
+    the air, as they would in reality.  A limited broadcast reaches every
+    other radio under one ``radio:<name>:bcast`` event, in attach order,
+    the way an :class:`EthernetSegment` frame reaches its ports.
     """
 
     def __init__(self, sim: Simulator, name: str, timings: LinkTimings) -> None:
@@ -223,14 +237,16 @@ class RadioChannel(Link):
         # One shared air interface: all radios serialize behind each other.
         deliver_at = self._delivery_time(packet.size_bytes)
         if next_hop.is_limited_broadcast:
-            for radio in self._radios:
-                if radio is sender:
-                    continue
-                self.sim.post_at(
-                    deliver_at,
-                    lambda radio=radio: radio.deliver_from_radio(packet),
-                    label=f"radio:{self.name}:bcast",
-                )
+            radios = [radio for radio in self._radios if radio is not sender]
+            if not radios:
+                return
+
+            def fan_out() -> None:
+                for radio in radios:
+                    radio.deliver_from_radio(packet)
+
+            self.sim.post_at(deliver_at, fan_out,
+                             label=f"radio:{self.name}:bcast")
             return
         target = self._by_address.get(next_hop)
         if target is None or target is sender:

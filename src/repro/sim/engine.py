@@ -301,7 +301,9 @@ class Simulator:
             runs before the next live event is popped, so that event stays
             queued and ``now`` stays at the last dispatched event.  The
             budget is per-call: a fresh ``run()`` starts from zero,
-            regardless of how many events earlier calls dispatched.
+            regardless of how many events earlier calls dispatched.  It
+            counts events, not the work inside them: a shared-medium
+            frame is one event however many ports it reaches.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import Event, Simulator
+    from repro.sim.engine import Simulator
 
 
 class FifoDelay:
@@ -24,19 +24,13 @@ class FifoDelay:
         self._sim = sim
         self._busy_until = 0
 
-    def schedule(self, delay: int, callback: Callable[[], None],
-                 label: str = "") -> "Event":
-        """Run *callback* after *delay* of service time, in FIFO order."""
-        start = max(self._sim.now, self._busy_until)
-        finish = start + max(delay, 0)
-        self._busy_until = finish
-        return self._sim.call_at(finish, callback, label)
-
     def post(self, delay: int, callback: Callable[[], None],
              label: str = "") -> None:
-        """Like :meth:`schedule`, but fire-and-forget: no cancellation
-        handle is returned, so the engine may recycle the event.  Use it
-        whenever the ``schedule`` return value would be discarded."""
+        """Run *callback* after *delay* of service time, in FIFO order.
+
+        Fire-and-forget: no cancellation handle is returned, so the engine
+        may recycle the event once it has run.
+        """
         start = max(self._sim.now, self._busy_until)
         finish = start + max(delay, 0)
         self._busy_until = finish

@@ -49,7 +49,7 @@ def test_fifo_never_reorders(service_times):
     fifo = FifoDelay(sim)
     completed = []
     for index, service in enumerate(service_times):
-        fifo.schedule(service, lambda index=index: completed.append(index))
+        fifo.post(service, lambda index=index: completed.append(index))
     sim.run()
     assert completed == list(range(len(service_times)))
 
@@ -60,7 +60,7 @@ def test_fifo_total_time_is_sum_of_services(service_times):
     fifo = FifoDelay(sim)
     finish = []
     for service in service_times:
-        fifo.schedule(service, lambda: finish.append(sim.now))
+        fifo.post(service, lambda: finish.append(sim.now))
     sim.run()
     assert finish[-1] == sum(service_times)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import DEFAULT_CONFIG
-from repro.net.addressing import MACAllocator, ip, subnet
+from repro.net.addressing import BROADCAST_MAC, MACAddress, MACAllocator, ip, subnet
 from repro.net.host import Host
 from repro.net.interface import (
     EthernetInterface,
@@ -107,6 +107,26 @@ class TestDrops:
         frame = EthernetFrame(src=iface.mac, dst=iface.mac,
                               ethertype=ETHERTYPE_IPV4, payload=make_packet())
         iface.deliver_frame(frame)
+        assert iface.dropped_down == 1
+
+    def test_frame_for_other_mac_while_down_is_not_a_drop(self, sim, iface):
+        """The MAC filter runs before the state check: another station's
+        traffic on the shared segment is not this NIC's loss."""
+        from repro.net.ethernet import ETHERTYPE_IPV4, EthernetFrame
+        from tests.unit.test_packet import make_packet
+
+        other = MACAddress(iface.mac.value + 1)
+        frame = EthernetFrame(src=other, dst=other,
+                              ethertype=ETHERTYPE_IPV4, payload=make_packet())
+        iface.deliver_frame(frame)
+        assert iface.dropped_down == 0
+        snapshot = sim.metrics.snapshot()
+        assert snapshot["iface/dropped_packets{iface=eth}"] == 0
+
+        broadcast = EthernetFrame(src=other, dst=BROADCAST_MAC,
+                                  ethertype=ETHERTYPE_IPV4,
+                                  payload=make_packet())
+        iface.deliver_frame(broadcast)
         assert iface.dropped_down == 1
 
 

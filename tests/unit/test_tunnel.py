@@ -1,5 +1,7 @@
 """Unit tests for the VIF + IPIP pair and its invariants."""
 
+import sys
+
 import pytest
 
 from repro.config import DEFAULT_CONFIG
@@ -104,6 +106,44 @@ def test_end_to_end_tunnel_over_the_wire(lan):
     vif.send_ip(inner, ip("10.0.0.2"))
     lan.run(500)
     assert got == ["through"]
+
+
+@pytest.mark.parametrize("traced", [True, False])
+def test_tunnel_trace_sites_are_gated_on_the_category(lan, monkeypatch,
+                                                      traced):
+    """With the tunnel category off, neither encapsulation nor
+    decapsulation keeps a record or formats a packet summary."""
+    import repro.core.tunnel as tunnel_module
+
+    describers = []
+    original = IPPacket.describe
+
+    def spy(self):
+        describers.append(sys._getframe(1).f_code.co_filename)
+        return original(self)
+
+    monkeypatch.setattr(IPPacket, "describe", spy)
+    if not traced:
+        lan.sim.trace.disable("tunnel")
+    vif = install_tunnel(lan.a)
+    install_tunnel(lan.b)
+    vif.endpoint_selector = lambda inner: (ip("10.0.0.1"), ip("10.0.0.2"))
+    got = []
+    lan.b.udp.open(9).on_datagram(lambda d, s, sp, dst: got.append(d.content))
+    inner = IPPacket(src=ip("10.0.0.1"), dst=ip("10.0.0.2"),
+                     protocol=PROTO_UDP,
+                     payload=UDPDatagram(1, 9, AppData("through", 7)))
+    vif.send_ip(inner, ip("10.0.0.2"))
+    lan.run(500)
+    assert got == ["through"]
+    events = [record.event for record in lan.sim.trace.select("tunnel")]
+    from_tunnel = describers.count(tunnel_module.__file__)
+    if traced:
+        assert events == ["encapsulated", "decapsulated"]
+        assert from_tunnel == 2
+    else:
+        assert events == []
+        assert from_tunnel == 0
 
 
 def test_encapsulation_depth_never_exceeds_one_in_practice(testbed):
