@@ -75,8 +75,10 @@ class VirtualInterface(NetworkInterface):
         endpoints = self.endpoint_selector(packet)
         if endpoints is None:
             self.packets_dropped_no_endpoint += 1
-            self.sim.trace.emit("tunnel", "no_endpoint", interface=self.name,
-                                packet=packet.describe())
+            trace = self.sim.trace
+            if trace.wants("tunnel"):
+                trace.emit("tunnel", "no_endpoint", interface=self.name,
+                           packet=packet.describe())
             return
         outer_src, outer_dst = endpoints
         if outer_src.is_unspecified:

@@ -40,6 +40,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.trace import TraceRecord
 
 
+#: The trace categories the audit replays; :meth:`PlaneAuditor.attach`
+#: keeps them on.
+AUDITED_CATEGORIES = ("binding", "binding_shard", "home_agent")
+
+
 class AuditViolation(AssertionError):
     """One or more plane invariants failed; carries the trace window.
 
@@ -89,10 +94,22 @@ class PlaneAuditor:
     # -------------------------------------------------------------- lifecycle
 
     def attach(self) -> None:
-        """Start auditing (idempotent)."""
+        """Start auditing (idempotent).
+
+        The audit reads the ``binding``, ``binding_shard`` and
+        ``home_agent`` trace categories, so attaching (re-)enables them: a
+        run that disabled them cannot silently switch the invariants off.
+        A trace with recording turned off wholesale is refused.
+        """
+        trace = self.sim.trace
+        if not trace.enabled:
+            raise RuntimeError(
+                "PlaneAuditor needs the simulator trace: trace.enabled is "
+                "False, so every plane invariant would pass unchecked")
+        trace.enable(*AUDITED_CATEGORIES)
         if not self._attached:
             self._attached = True
-            self.sim.trace.subscribe(self._on_record)
+            trace.subscribe(self._on_record)
 
     def detach(self) -> None:
         """Stop auditing (the view freezes where it is)."""
@@ -121,7 +138,7 @@ class PlaneAuditor:
 
     def _on_record(self, record: "TraceRecord") -> None:
         category = record.category
-        if category not in ("binding", "binding_shard", "home_agent"):
+        if category not in AUDITED_CATEGORIES:
             return
         # Records are pooled: copy what the window keeps.
         fields = dict(record.fields)

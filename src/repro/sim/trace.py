@@ -12,11 +12,16 @@ instrumenting the kernel with timestamps and post-processing off-line.
 
 Recording is gated per category so the hot path can stay lazy: call sites
 that would pay string formatting just to build a record first ask
-:meth:`Trace.wants`, and categories in :data:`VERBOSE_CATEGORIES` are off
-by default (debug firehoses nobody post-processes).  All pre-existing
-categories default to on, so harnesses see exactly the records they always
-did; benchmarks and soak runs disable categories wholesale with
-:meth:`Trace.disable` to measure (and avoid) the recording overhead.
+:meth:`Trace.wants`.  The categories in :data:`VERBOSE_CATEGORIES` are off
+by default.  They are the per-packet streams (``ip``, ``tunnel``,
+``policy``), which would otherwise record a ``packet.describe()`` string
+for every packet sent, received, encapsulated, decapsulated or routed by
+policy.  No experiment harness post-processes them; a consumer that wants
+them opts in with :meth:`Trace.enable`.  The control-plane categories (``registration``,
+``handoff``, ``device``, ``dhcp``, ``binding``, ``binding_shard``,
+``home_agent``, ``fault``, ``tcp``, ``arp`` ...) record by default, so the
+harnesses and :class:`~repro.faults.auditor.PlaneAuditor` see every record
+they read; :meth:`Trace.disable` turns any category off.
 """
 
 from __future__ import annotations
@@ -83,10 +88,11 @@ class TraceRecord:
                 f"event={self.event!r}, fields={self.fields!r})")
 
 
-#: Categories that are *off* unless a consumer opts in: per-event debug
-#: firehoses whose records no experiment harness reads.  Everything else
-#: records by default, exactly as before the fast path existed.
-VERBOSE_CATEGORIES = frozenset({"engine.debug", "policy.cache"})
+#: Categories that are *off* unless a consumer opts in with
+#: :meth:`Trace.enable`: the per-packet streams, one record per packet
+#: sent, received, encapsulated, decapsulated or routed by policy, which no
+#: experiment harness reads.  Every other category records by default.
+VERBOSE_CATEGORIES = frozenset({"ip", "tunnel", "policy"})
 
 
 class Trace:

@@ -65,6 +65,7 @@ def test_figure2_care_of_is_mobile_hosts_own_address(testbed):
 
 def test_correspondent_never_sees_the_care_of_address(testbed):
     """Transparency: every packet the CH receives has the home source."""
+    testbed.sim.trace.enable("ip")
     testbed.visit_dept()
     UdpEchoResponder(testbed.mobile)
     stream = UdpEchoStream(testbed.correspondent, HOME, interval=ms(100))
@@ -74,7 +75,9 @@ def test_correspondent_never_sees_the_care_of_address(testbed):
     testbed.sim.run_for(s(1))
     assert stream.received > 0
     care_of = str(testbed.addresses.mh_dept_care_of)
-    for record in testbed.sim.trace.select("ip", "receive", host="ch"):
+    received = testbed.sim.trace.select("ip", "receive", host="ch")
+    assert received
+    for record in received:
         packet = record["packet"]
         assert not packet.startswith(f"{care_of} ->")
 

@@ -51,6 +51,7 @@ def test_mobile_aware_app_uses_second_interface_concurrently(testbed):
     testbed.visit_dept()
     testbed.connect_radio(register=False)
     testbed.sim.run_for(s(1))
+    testbed.sim.trace.enable("tunnel")
 
     # The ordinary application: unbound socket, mobile IP over ethernet.
     UdpEchoResponder(testbed.mobile)
@@ -80,8 +81,10 @@ def test_mobile_aware_app_uses_second_interface_concurrently(testbed):
     assert ordinary.received == ordinary.sent       # home role untouched
     assert len(radio_replies) == 4                  # local role worked
     # The radio traffic was NOT tunneled: it's outside mobile IP.
-    for record in testbed.sim.trace.select("tunnel", "encapsulated",
-                                           interface=testbed.mobile.vif.name):
+    encapsulations = testbed.sim.trace.select(
+        "tunnel", "encapsulated", interface=testbed.mobile.vif.name)
+    assert encapsulations                           # the home role tunneled
+    for record in encapsulations:
         assert "7777" not in record["outer"]
 
 

@@ -30,6 +30,7 @@ def test_three_minute_roaming_soak(seed):
                             with_dhcp=False)
     testbed.visit_dept()
     sim.run_for(s(1))
+    sim.trace.enable("tunnel")
 
     # Concurrent load.
     UdpEchoResponder(testbed.mobile)
@@ -68,7 +69,9 @@ def test_three_minute_roaming_soak(seed):
     # Echo stream: loss bounded by the switching windows, not systemic.
     assert echo.received >= echo.sent * 0.85
     # Exactly-once encapsulation held across the entire run.
-    for record in sim.trace.select("tunnel", "encapsulated"):
+    encapsulations = sim.trace.select("tunnel", "encapsulated")
+    assert encapsulations
+    for record in encapsulations:
         assert record["outer"].count("IPIP") == 1
     # The home address always lived in exactly one place.
     owners = [iface.name for iface in testbed.mobile.interfaces

@@ -43,6 +43,7 @@ def test_echo_reply_sources_from_probed_address(lan):
     lan.b.interfaces[1].add_address(second)
     replies = []
     records = lan.sim.trace
+    records.enable("ip")
     lan.a.icmp.ping(second, on_reply=replies.append,
                     on_timeout=lambda: replies.append(None))
     lan.run()

@@ -110,6 +110,7 @@ def test_duplicate_protocol_registration_rejected(lan):
 def test_unknown_protocol_is_traced_not_fatal(lan):
     packet = IPPacket(src=ip("10.0.0.2"), dst=ip("10.0.0.1"), protocol=99,
                       payload=AppData("?", 4))
+    lan.sim.trace.enable("ip")
     lan.a.ip.receive_packet(packet, lan.a.interfaces[1])
     assert lan.sim.trace.select("ip", "no_protocol", host="a")
 

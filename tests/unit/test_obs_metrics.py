@@ -167,6 +167,7 @@ def test_format_report_groups_by_component():
 
 def test_trace_jsonl_round_trips():
     sim = Simulator(seed=1)
+    sim.trace.enable("ip")
     sim.trace.emit("ip", "send", host="mh", size=100)
     sim.call_later(ms(1), lambda: None)
     sim.run()

@@ -267,6 +267,26 @@ class TestPlaneAuditor:
             auditor.finish()
         assert auditor.finish(raise_on_violation=False)
 
+    def test_disabled_categories_cannot_blind_the_audit(self):
+        sim, plane, _, _ = build_shard()
+        sim.trace.disable("binding", "binding_shard", "home_agent")
+        auditor = PlaneAuditor(plane)
+        auditor.attach()
+        home = str(home_address_of(0))
+        sim.trace.emit("binding", "registered", agent="ha0",
+                       home_address=home, care_of="36.192.0.2")
+        sim.trace.emit("binding", "registered", agent="ha1",
+                       home_address=home, care_of="36.192.0.6")
+        with pytest.raises(AuditViolation, match="double-owned"):
+            auditor.finish()
+
+    def test_attach_refuses_a_switched_off_trace(self):
+        sim, plane, _, _ = build_shard()
+        sim.trace.enabled = False
+        auditor = PlaneAuditor(plane)
+        with pytest.raises(RuntimeError, match="trace.enabled is False"):
+            auditor.attach()
+
     def test_takeover_counter_mismatch_is_caught(self):
         sim, plane, _, _ = build_shard()
         auditor = PlaneAuditor(plane)

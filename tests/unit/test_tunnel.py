@@ -23,6 +23,22 @@ def make_inner(src="36.135.0.10", dst="36.8.0.20"):
                     payload=UDPDatagram(1, 2, AppData("x", 10)))
 
 
+@pytest.fixture
+def tunnel_describes(monkeypatch):
+    """Count ``IPPacket.describe()`` calls made from the tunnel module."""
+    import repro.core.tunnel as tunnel_module
+
+    callers = []
+    original = IPPacket.describe
+
+    def spy(self):
+        callers.append(sys._getframe(1).f_code.co_filename)
+        return original(self)
+
+    monkeypatch.setattr(IPPacket, "describe", spy)
+    return lambda: callers.count(tunnel_module.__file__)
+
+
 def test_install_tunnel_registers_vif_and_ipip(lan):
     vif = install_tunnel(lan.a)
     assert vif in lan.a.interfaces
@@ -109,22 +125,12 @@ def test_end_to_end_tunnel_over_the_wire(lan):
 
 
 @pytest.mark.parametrize("traced", [True, False])
-def test_tunnel_trace_sites_are_gated_on_the_category(lan, monkeypatch,
+def test_tunnel_trace_sites_are_gated_on_the_category(lan, tunnel_describes,
                                                       traced):
     """With the tunnel category off, neither encapsulation nor
     decapsulation keeps a record or formats a packet summary."""
-    import repro.core.tunnel as tunnel_module
-
-    describers = []
-    original = IPPacket.describe
-
-    def spy(self):
-        describers.append(sys._getframe(1).f_code.co_filename)
-        return original(self)
-
-    monkeypatch.setattr(IPPacket, "describe", spy)
-    if not traced:
-        lan.sim.trace.disable("tunnel")
+    if traced:
+        lan.sim.trace.enable("tunnel")
     vif = install_tunnel(lan.a)
     install_tunnel(lan.b)
     vif.endpoint_selector = lambda inner: (ip("10.0.0.1"), ip("10.0.0.2"))
@@ -137,12 +143,33 @@ def test_tunnel_trace_sites_are_gated_on_the_category(lan, monkeypatch,
     lan.run(500)
     assert got == ["through"]
     events = [record.event for record in lan.sim.trace.select("tunnel")]
-    from_tunnel = describers.count(tunnel_module.__file__)
+    from_tunnel = tunnel_describes()
     if traced:
         assert events == ["encapsulated", "decapsulated"]
         assert from_tunnel == 2
     else:
         assert events == []
+        assert from_tunnel == 0
+
+
+@pytest.mark.parametrize("traced", [True, False])
+def test_no_endpoint_trace_site_is_gated_on_the_category(
+        lan, tunnel_describes, traced):
+    """A drop for want of a tunnel endpoint formats the packet summary
+    only when the tunnel category is on."""
+    if traced:
+        lan.sim.trace.enable("tunnel")
+    vif = install_tunnel(lan.a)
+    vif.endpoint_selector = lambda inner: None
+    vif.send_ip(make_inner(), ip("10.0.0.2"))
+    assert vif.packets_dropped_no_endpoint == 1
+    records = lan.sim.trace.select("tunnel", "no_endpoint")
+    from_tunnel = tunnel_describes()
+    if traced:
+        assert [record["interface"] for record in records] == [vif.name]
+        assert from_tunnel == 1
+    else:
+        assert records == []
         assert from_tunnel == 0
 
 
@@ -152,11 +179,14 @@ def test_encapsulation_depth_never_exceeds_one_in_practice(testbed):
     from repro.sim import s as seconds
     from repro.workloads import UdpEchoResponder, UdpEchoStream
 
+    testbed.sim.trace.enable("tunnel")
     testbed.visit_dept()
     UdpEchoResponder(testbed.mobile)
     stream = UdpEchoStream(testbed.correspondent,
                            testbed.addresses.mh_home, interval=ms(50))
     stream.start()
     testbed.sim.run_for(seconds(2))
-    for record in testbed.sim.trace.select("tunnel", "encapsulated"):
+    encapsulations = testbed.sim.trace.select("tunnel", "encapsulated")
+    assert encapsulations
+    for record in encapsulations:
         assert record["outer"].count("IPIP") == 1
